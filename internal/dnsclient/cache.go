@@ -21,8 +21,7 @@ import (
 // cache and must arrive at the measurement's authoritative server
 // (paper §5.1).
 type CachingClient struct {
-	// Upstream performs transactions on cache misses; required. Layer a
-	// SingleFlight here to also coalesce concurrent misses for one name.
+	// Upstream performs transactions on cache misses; required.
 	Upstream Querier
 	// Clock supplies cache timestamps (use the simulation clock so TTLs
 	// interact correctly with virtual time).
@@ -112,71 +111,6 @@ func (cc *CachingClient) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg
 	return msg, nil
 }
 
-// QueryBatch implements BatchQuerier: cached answers are served in place
-// and only the misses travel upstream, as one batch when the upstream can
-// batch. Hit/miss accounting and trace events match the single-query path.
-func (cc *CachingClient) QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResult {
-	out := make([]BatchResult, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	now := cc.Clock.Now()
-	keys := make([]cacheKey, len(qs))
-	var misses []int
-
-	cc.mu.Lock()
-	for i, q := range qs {
-		keys[i] = cacheKey{name: q.Name.CanonicalKey(), typ: q.Type}
-		if e, ok := cc.entries[keys[i]]; ok && now.Before(e.expires) {
-			out[i] = BatchResult{Msg: e.msg}
-			continue
-		}
-		misses = append(misses, i)
-	}
-	cc.mu.Unlock()
-
-	for i, q := range qs {
-		qctx := ctx
-		if q.Ctx != nil {
-			qctx = q.Ctx
-		}
-		hit := out[i].Msg != nil
-		if hit {
-			cc.Metrics.Counter("dns.cache.hits").Inc()
-		} else {
-			cc.Metrics.Counter("dns.cache.misses").Inc()
-		}
-		if sp := trace.SpanFromContext(qctx); sp != nil {
-			ev := "dns.cache.miss"
-			if hit {
-				ev = "dns.cache.hit"
-			}
-			sp.Event(ev, trace.String("name", q.Name.String()), trace.String("type", q.Type.String()))
-		}
-	}
-	if len(misses) == 0 {
-		return out
-	}
-
-	up := make([]BatchQuestion, len(misses))
-	for j, i := range misses {
-		up[j] = qs[i]
-	}
-	res := queryAll(ctx, cc.Upstream, up)
-	cc.mu.Lock()
-	for j, i := range misses {
-		out[i] = res[j]
-		if res[j].Err != nil {
-			continue
-		}
-		if ttl := cc.ttlFor(res[j].Msg); ttl > 0 {
-			cc.entries[keys[i]] = cacheEntry{msg: res[j].Msg, expires: now.Add(ttl)}
-		}
-	}
-	cc.mu.Unlock()
-	return out
-}
-
 // ttlFor derives the cache lifetime from a response.
 func (cc *CachingClient) ttlFor(msg *dnsmsg.Message) time.Duration {
 	if msg.Header.RCode != dnsmsg.RCodeNoError && msg.Header.RCode != dnsmsg.RCodeNXDomain {
@@ -225,5 +159,3 @@ func (cc *CachingClient) Flush() {
 	cc.entries = make(map[cacheKey]cacheEntry)
 	cc.mu.Unlock()
 }
-
-var _ BatchQuerier = (*CachingClient)(nil)

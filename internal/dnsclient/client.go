@@ -3,6 +3,14 @@
 // the prober for MX resolution, and it satisfies the SPF engine's Resolver
 // contract with the RFC 7208 error taxonomy (NXDOMAIN is "no data", SERVFAIL
 // and timeouts are temporary errors).
+//
+// The stack has three layers, composed through the Querier interface:
+// Client speaks the wire, one transaction per query; CachingClient adds
+// the TTL cache a real MTA sits behind; Resolver turns responses into
+// typed lookups. There is no query batching and no in-flight dedup: an
+// MTA host validates serially, so it never has two lookups in flight,
+// and every SPFail probe carries its own DNS label, so no two probes
+// share a query.
 package dnsclient
 
 import (
@@ -93,41 +101,6 @@ var udpBufPool = sync.Pool{New: func() any {
 // Query sends one query and returns the validated response, implementing
 // Querier over the wire (UDP with TCP fallback on truncation).
 func (c *Client) Query(ctx context.Context, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
-	return c.query(ctx, nil, name, typ)
-}
-
-// QueryBatch implements BatchQuerier: the questions share one UDP socket,
-// exchanged strictly in order (see BatchQuerier for why serialized order is
-// load-bearing), so a multi-question batch costs one dial instead of one
-// per question. Per-question contexts keep trace attribution; per-question
-// failures fall back to the usual retry/TCP machinery independently.
-func (c *Client) QueryBatch(ctx context.Context, qs []BatchQuestion) []BatchResult {
-	out := make([]BatchResult, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	var conn net.Conn
-	if len(qs) > 1 {
-		if cn, err := c.Net.DialContext(ctx, "udp", c.Server); err == nil {
-			conn = cn
-			defer cn.Close()
-		}
-		c.Metrics.Counter("dns.client.batches").Inc()
-		c.Metrics.Counter("dns.client.batch_questions").Add(int64(len(qs)))
-	}
-	for i, bq := range qs {
-		qctx := ctx
-		if bq.Ctx != nil {
-			qctx = bq.Ctx
-		}
-		out[i].Msg, out[i].Err = c.query(qctx, conn, bq.Name, bq.Type)
-	}
-	return out
-}
-
-// query is the shared transaction body. conn, when non-nil, is a caller-
-// owned UDP socket reused across a batch; nil dials per attempt.
-func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ dnsmsg.Type) (*dnsmsg.Message, error) {
 	c.Metrics.Counter("dns.client.lookups").Inc()
 	start := c.clock().Now()
 	ctx, qsp := trace.StartSpan(ctx, "dns.query")
@@ -158,7 +131,7 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 				}
 			}
 		}
-		resp, err := c.exchangeUDP(ctx, conn, q)
+		resp, err := c.exchangeUDP(ctx, q)
 		if err != nil {
 			lastErr = err
 			continue
@@ -194,15 +167,12 @@ func (c *Client) query(ctx context.Context, conn net.Conn, name dnsmsg.Name, typ
 	return nil, fmt.Errorf("%w: %v", ErrTemporary, lastErr)
 }
 
-func (c *Client) exchangeUDP(ctx context.Context, conn net.Conn, q *dnsmsg.Message) (*dnsmsg.Message, error) {
-	if conn == nil {
-		cn, err := c.Net.DialContext(ctx, "udp", c.Server)
-		if err != nil {
-			return nil, err
-		}
-		defer cn.Close()
-		conn = cn
+func (c *Client) exchangeUDP(ctx context.Context, q *dnsmsg.Message) (*dnsmsg.Message, error) {
+	conn, err := c.Net.DialContext(ctx, "udp", c.Server)
+	if err != nil {
+		return nil, err
 	}
+	defer conn.Close()
 	pkt, err := q.Pack()
 	if err != nil {
 		return nil, err
@@ -275,7 +245,7 @@ func (c *Client) matches(q, r *dnsmsg.Message) bool {
 }
 
 // Resolver provides typed lookups with the RFC 7208 error taxonomy on top
-// of any Querier — a bare Client, a SingleFlight, or a CachingClient stack.
+// of any Querier — a bare Client or a CachingClient stack.
 type Resolver struct {
 	// Querier performs transactions; required.
 	Querier Querier
@@ -333,35 +303,28 @@ func (r *Resolver) LookupIP(ctx context.Context, network, name string) ([]netip.
 	if err != nil {
 		return nil, err
 	}
-	var results []BatchResult
+	types := []dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeAAAA}
 	switch network {
 	case "ip4":
-		results = r.lookupTypes(ctx, n, dnsmsg.TypeA)
+		types = types[:1]
 	case "ip6":
-		results = r.lookupTypes(ctx, n, dnsmsg.TypeAAAA)
-	default:
-		// Dual-family lookups travel as one batch — a single virtual
-		// round-trip through any batching layer in the stack — instead of
-		// an A transaction followed by a AAAA transaction.
-		results = r.lookupTypes(ctx, n, dnsmsg.TypeA, dnsmsg.TypeAAAA)
+		types = types[1:]
 	}
 	var out []netip.Addr
 	var firstErr error
-	for _, res := range results {
-		if res.Err != nil {
-			if firstErr == nil {
-				firstErr = res.Err
-			}
-			continue
+	for _, typ := range types {
+		resp, err := r.do(ctx, n, typ)
+		if err == nil {
+			err = rcodeErr(resp)
 		}
-		if err := rcodeErr(res.Msg); err != nil {
+		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
 		firstErr = nil
-		for _, rr := range res.Msg.Answers {
+		for _, rr := range resp.Answers {
 			switch d := rr.Data.(type) {
 			case dnsmsg.A:
 				out = append(out, d.Addr)
@@ -374,20 +337,6 @@ func (r *Resolver) LookupIP(ctx context.Context, network, name string) ([]netip.
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// lookupTypes queries name for each type, batching when more than one type
-// is requested. Results are in types order regardless of transport.
-func (r *Resolver) lookupTypes(ctx context.Context, name dnsmsg.Name, types ...dnsmsg.Type) []BatchResult {
-	if len(types) == 1 {
-		msg, err := r.do(ctx, name, types[0])
-		return []BatchResult{{Msg: msg, Err: err}}
-	}
-	qs := make([]BatchQuestion, len(types))
-	for i, typ := range types {
-		qs[i] = BatchQuestion{Name: name, Type: typ, Ctx: ctx}
-	}
-	return queryAll(ctx, r.Querier, qs)
 }
 
 // MXRecord is one mail exchanger.

@@ -80,22 +80,63 @@ func TestLookupTXTNXDomain(t *testing.T) {
 	}
 }
 
+// TestLookupIPBothFamilies covers the dual-family loop of LookupIP: "ip"
+// asks A then AAAA, keeps whatever either family answers, and reports an
+// error only when neither yields an address.
 func TestLookupIPBothFamilies(t *testing.T) {
-	r, _ := newResolver(t)
-	addrs, err := r.LookupIP(context.Background(), "ip", "mail.example.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 2 {
-		t.Fatalf("addrs = %v", addrs)
-	}
-	a4, err := r.LookupIP(context.Background(), "ip4", "mail.example.com")
-	if err != nil || len(a4) != 1 || !a4[0].Is4() {
-		t.Fatalf("ip4 = %v, %v", a4, err)
-	}
-	a6, err := r.LookupIP(context.Background(), "ip6", "mail.example.com")
-	if err != nil || len(a6) != 1 || !a6[0].Is6() {
-		t.Fatalf("ip6 = %v, %v", a6, err)
+	z := testZone()
+	z.AddA(name("v4only.example.com"), netip.MustParseAddr("192.0.2.4"))
+	z.AddA(name("v6only.example.com"), netip.MustParseAddr("2001:db8::6"))
+	z.AddA(name("a-fails.example.com"), netip.MustParseAddr("2001:db8::a"))
+	z.AddA(name("aaaa-fails.example.com"), netip.MustParseAddr("192.0.2.44"))
+	// SERVFAIL one family of the *-fails names, serve the rest from the zone.
+	h := dnsserver.HandlerFunc(func(q *dnsmsg.Message, from net.Addr) *dnsmsg.Message {
+		qq := q.Questions[0]
+		if (qq.Name.Equal(name("a-fails.example.com")) && qq.Type == dnsmsg.TypeA) ||
+			(qq.Name.Equal(name("aaaa-fails.example.com")) && qq.Type == dnsmsg.TypeAAAA) {
+			r := q.Reply()
+			r.Header.RCode = dnsmsg.RCodeServFail
+			return r
+		}
+		return z.ServeDNS(q, from)
+	})
+	fabric := netsim.NewFabric()
+	startServer(t, fabric, "192.0.2.53", h)
+	r := stubResolver(fabric.Host("198.51.100.1"), "192.0.2.53:53", 2*time.Second)
+
+	for _, tc := range []struct {
+		network, host string
+		want          []string
+		notFound      bool
+	}{
+		{network: "ip", host: "mail.example.com", want: []string{"192.0.2.10", "2001:db8::10"}},
+		{network: "ip4", host: "mail.example.com", want: []string{"192.0.2.10"}},
+		{network: "ip6", host: "mail.example.com", want: []string{"2001:db8::10"}},
+		{network: "ip", host: "v4only.example.com", want: []string{"192.0.2.4"}},
+		{network: "ip", host: "v6only.example.com", want: []string{"2001:db8::6"}},
+		{network: "ip", host: "missing.example.com", notFound: true},
+		{network: "ip", host: "a-fails.example.com", want: []string{"2001:db8::a"}},
+		{network: "ip", host: "aaaa-fails.example.com", want: []string{"192.0.2.44"}},
+	} {
+		t.Run(tc.network+"/"+tc.host, func(t *testing.T) {
+			addrs, err := r.LookupIP(context.Background(), tc.network, tc.host)
+			if tc.notFound {
+				if !IsNotFound(err) || len(addrs) != 0 {
+					t.Fatalf("got %v, %v; want NXDOMAIN taxonomy", addrs, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, a := range addrs {
+				got = append(got, a.String())
+			}
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("addrs = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -107,18 +107,10 @@ func (s *Server) Stop() {
 func (s *Server) serveUDP(pc net.PacketConn) {
 	defer s.wg.Done()
 	buf := make([]byte, 64<<10)
-	out := make([]byte, 0, MaxUDPPayload)
 	for {
 		n, from, err := pc.ReadFrom(buf)
 		if err != nil {
 			return
-		}
-		// Template fast path: answer inline from precompiled wire bytes,
-		// with no packet copy, no goroutine, and no decode/encode.
-		var hit bool
-		if out, hit = s.ServeQuery(out[:0], buf[:n], from); hit {
-			_, _ = pc.WriteTo(out, from)
-			continue
 		}
 		pkt := append([]byte(nil), buf[:n]...)
 		s.wg.Add(1)

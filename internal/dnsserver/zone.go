@@ -17,12 +17,6 @@ type ZoneSet struct {
 	mu      sync.RWMutex
 	records map[string][]dnsmsg.Record
 	soa     map[string]dnsmsg.Record // apex key → SOA for negative answers
-	// templates caches packed responses for the ServeWire fast path, keyed
-	// by case-folded qname wire bytes + qtype (see template.go). Any zone
-	// mutation drops the whole cache and bumps tmplGen so in-flight builds
-	// against the old zone contents are discarded.
-	templates map[string][]byte
-	tmplGen   uint64
 }
 
 // NewZoneSet returns an empty zone set.
@@ -42,7 +36,6 @@ func (z *ZoneSet) Add(r dnsmsg.Record) {
 	if r.Data.Type() == dnsmsg.TypeSOA {
 		z.soa[key] = r
 	}
-	z.invalidateTemplates()
 }
 
 // AddA is a convenience for adding an A or AAAA record for name.
@@ -73,7 +66,6 @@ func (z *ZoneSet) Remove(name dnsmsg.Name) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	delete(z.records, name.CanonicalKey())
-	z.invalidateTemplates()
 }
 
 // Lookup returns records of the given type owned by name, chasing one level

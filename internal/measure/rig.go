@@ -185,9 +185,7 @@ func (r *Rig) Resolver() *dnsclient.Resolver {
 		Retry:   r.dnsRetry,
 		Metrics: r.Metrics,
 	}
-	// The pipeline lets ResolveTargets' dual-family lookups travel as one
-	// batch per exchanger instead of two dials.
-	return dnsclient.NewResolver(&dnsclient.Pipeline{Upstream: wire, Metrics: r.Metrics})
+	return dnsclient.NewResolver(wire)
 }
 
 // Target is one (domain, addresses) measurement unit discovered via DNS.

@@ -33,7 +33,7 @@ func BenchmarkRuntimeSample(b *testing.B) {
 func BenchmarkStageProbe(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := BeginStage(nil, nil)
+		p := BeginStage(nil)
 		_ = p.End("bench")
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,10 +75,7 @@ func TestCollectorStartStop(t *testing.T) {
 }
 
 func TestStageProbeDeltas(t *testing.T) {
-	sim := clock.NewSim(time.Unix(0, 0))
-	defer sim.Close()
-	p := BeginStage(sim, nil)
-	sim.Advance(42 * time.Second)
+	p := BeginStage(nil)
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
 		sink = append(sink, make([]byte, 64<<10))
@@ -97,14 +95,25 @@ func TestStageProbeDeltas(t *testing.T) {
 	if res.GCCycles < 1 {
 		t.Errorf("GCCycles = %d, want ≥ 1 after forced GC", res.GCCycles)
 	}
-	if res.Virtual != 42*time.Second {
-		t.Errorf("Virtual = %v, want 42s", res.Virtual)
-	}
 	if res.Wall < 0 {
 		t.Errorf("Wall = %v, want ≥ 0", res.Wall)
 	}
 	if res.PeakRSS <= 0 {
 		t.Errorf("PeakRSS = %d, want > 0", res.PeakRSS)
+	}
+}
+
+// Checkpoint segments written before the virtual-duration column was
+// dropped still carry "virtual_ns"; their rows must decode unchanged.
+func TestStageResourcesDecodesOlderRows(t *testing.T) {
+	old := `{"stage":"round-003","wall_ns":1500000000,"virtual_ns":0,"alloc_bytes":4096,"peak_rss_bytes":8192}`
+	var sr StageResources
+	if err := json.Unmarshal([]byte(old), &sr); err != nil {
+		t.Fatal(err)
+	}
+	want := StageResources{Stage: "round-003", Wall: 1500 * time.Millisecond, AllocBytes: 4096, PeakRSS: 8192}
+	if sr != want {
+		t.Errorf("decoded %+v, want %+v", sr, want)
 	}
 }
 

@@ -9,16 +9,14 @@ import (
 
 // StageResources is the resource delta one study stage cost: what the
 // process allocated, how the heap moved, how many GC cycles ran, and how
-// long the stage took on both timelines. It is the row type of the
+// long the stage took in wall time. It is the row type of the
 // report's resource table and is stored alongside (never inside) the
 // deterministic stage payload in checkpoint segments.
 type StageResources struct {
 	// Stage is the stage name ("resolve", "initial", "round-003", …).
 	Stage string `json:"stage"`
-	// Wall is the stage's wall-clock duration; Virtual is its span on the
-	// study's (possibly simulated) clock.
-	Wall    time.Duration `json:"wall_ns"`
-	Virtual time.Duration `json:"virtual_ns"`
+	// Wall is the stage's wall-clock duration.
+	Wall time.Duration `json:"wall_ns"`
 	// AllocBytes/AllocObjects are process-wide heap allocations performed
 	// during the stage (cumulative-counter deltas; freed memory included).
 	AllocBytes   uint64 `json:"alloc_bytes"`
@@ -41,13 +39,11 @@ type StageResources struct {
 // StageProbe captures the "before" edge of a stage resource delta. Begin
 // it when the stage starts executing, End it at commit.
 type StageProbe struct {
-	virt clock.Clock
 	coll *Collector
 
 	samples [4]metrics.Sample
 
 	wallStart time.Time
-	virtStart time.Time
 	alloc0    AllocCounts
 	heap0     uint64
 	gc0       uint64
@@ -78,20 +74,16 @@ func (p *StageProbe) read() (heap, gc uint64, alloc AllocCounts) {
 		}
 }
 
-// BeginStage snapshots the resource baseline for a stage. virt is the
-// study's clock (nil leaves Virtual zero); coll, when non-nil, sharpens
-// PeakRSS with the collector's polled high-water mark.
-func BeginStage(virt clock.Clock, coll *Collector) *StageProbe {
-	p := &StageProbe{virt: virt, coll: coll}
+// BeginStage snapshots the resource baseline for a stage. coll, when
+// non-nil, sharpens PeakRSS with the collector's polled high-water mark.
+func BeginStage(coll *Collector) *StageProbe {
+	p := &StageProbe{coll: coll}
 	p.heap0, p.gc0, p.alloc0 = p.read()
 	p.rss0 = readRSS()
 	if coll != nil {
 		p.peak0 = coll.PeakRSS()
 	}
 	p.wallStart = clock.Real{}.Now()
-	if virt != nil {
-		p.virtStart = virt.Now()
-	}
 	return p
 }
 
@@ -108,7 +100,7 @@ func (p *StageProbe) End(stage string) StageResources {
 			peak = cp
 		}
 	}
-	res := StageResources{
+	return StageResources{
 		Stage:        stage,
 		Wall:         clock.Real{}.Now().Sub(p.wallStart),
 		AllocBytes:   alloc1.Bytes - p.alloc0.Bytes,
@@ -117,8 +109,4 @@ func (p *StageProbe) End(stage string) StageResources {
 		GCCycles:     gc1 - p.gc0,
 		PeakRSS:      peak,
 	}
-	if p.virt != nil {
-		res.Virtual = p.virt.Now().Sub(p.virtStart)
-	}
-	return res
 }

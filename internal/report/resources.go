@@ -21,7 +21,7 @@ func ResourceTable(w io.Writer, r *study.Results) {
 	}
 	t := &Table{
 		Title:   "Resource usage by stage",
-		Headers: []string{"Stage", "Wall", "Virtual", "Allocs", "Objects", "Heap Δ", "GC", "Peak RSS"},
+		Headers: []string{"Stage", "Wall", "Allocs", "Objects", "Heap Δ", "GC", "Peak RSS"},
 	}
 	var total obs.StageResources
 	for _, sr := range r.Resources {
@@ -31,14 +31,12 @@ func ResourceTable(w io.Writer, r *study.Results) {
 		}
 		t.AddRow(name,
 			Duration(sr.Wall),
-			Duration(sr.Virtual),
 			Bytes(int64(sr.AllocBytes)),
 			Count(int(sr.AllocObjects)),
 			signedBytes(sr.HeapGrowth),
 			Count(int(sr.GCCycles)),
 			Bytes(sr.PeakRSS))
 		total.Wall += sr.Wall
-		total.Virtual += sr.Virtual
 		total.AllocBytes += sr.AllocBytes
 		total.AllocObjects += sr.AllocObjects
 		total.HeapGrowth += sr.HeapGrowth
@@ -49,7 +47,6 @@ func ResourceTable(w io.Writer, r *study.Results) {
 	}
 	t.AddRow("total",
 		Duration(total.Wall),
-		Duration(total.Virtual),
 		Bytes(int64(total.AllocBytes)),
 		Count(int(total.AllocObjects)),
 		signedBytes(total.HeapGrowth),

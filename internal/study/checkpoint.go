@@ -89,7 +89,7 @@ func (r *runner) stage(ctx context.Context, name string, exec, restore func(*che
 	}
 
 	st := &checkpoint.Stage{}
-	probe := obs.BeginStage(r.clk, r.coll)
+	probe := obs.BeginStage(r.coll)
 	if err := exec(st); err != nil {
 		return err
 	}
