@@ -59,6 +59,8 @@ type Server struct {
 	l   net.Listener
 	wg  sync.WaitGroup
 	run bool
+	// unwatch deregisters the Stop hook Start put on its context.
+	unwatch func() bool
 }
 
 // Start begins serving on both transports. It returns once listeners are
@@ -74,17 +76,13 @@ func (s *Server) Start(ctx context.Context) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.pc, s.l, s.run = pc, l, true
-	s.mu.Unlock()
-
 	s.wg.Add(2)
 	go s.serveUDP(pc)
 	go s.serveTCP(l)
 	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			s.Stop()
-		}()
+		s.unwatch = context.AfterFunc(ctx, s.Stop)
 	}
 	return nil
 }
@@ -97,8 +95,12 @@ func (s *Server) Stop() {
 		return
 	}
 	s.run = false
-	pc, l := s.pc, s.l
+	pc, l, unwatch := s.pc, s.l, s.unwatch
+	s.unwatch = nil
 	s.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
 	_ = pc.Close()
 	_ = l.Close()
 	s.wg.Wait()

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"spfail/internal/clock"
+	"spfail/internal/telemetry"
 )
 
 // Network abstracts dialing and listening so protocol code can run on the
@@ -147,6 +148,10 @@ type Fabric struct {
 	// as clk.Now().Add(timeout) mean the same thing on both sides. Nil
 	// means the real clock. Set before handing out connections.
 	Clock clock.Clock
+
+	// Metrics, when non-nil, counts datagrams dropped at a full inbox
+	// (see docs/telemetry.md). Set before handing out connections.
+	Metrics *telemetry.Registry
 }
 
 func (f *Fabric) clock() clock.Clock {
@@ -249,23 +254,21 @@ func (f *Fabric) dialTCP(ctx context.Context, srcIP, address string) (net.Conn, 
 	l := f.listeners[raddr.String()]
 	laddr := Addr{Net: "tcp", Host: srcIP, Port: f.allocPortLocked()}
 	f.mu.Unlock()
+	if l == nil && !fault.Blackhole {
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Addr: raddr, Err: ErrRefused}
+	}
+	cli, srv := f.pipe(laddr, raddr)
 	if fault.Blackhole {
 		// The dial "succeeds", but the server end of the pipe is discarded:
 		// reads and writes hang until the connection deadline expires.
-		cli, _ := net.Pipe()
-		return &fabricConn{Conn: cli, clk: f.clock(), local: laddr, remote: raddr}, nil
+		return cli, nil
 	}
-	if l == nil {
-		return nil, &net.OpError{Op: "dial", Net: "tcp", Addr: raddr, Err: ErrRefused}
-	}
-	cli, srv := net.Pipe()
-	var clientConn net.Conn = &fabricConn{Conn: cli, clk: f.clock(), local: laddr, remote: raddr}
-	serverConn := &fabricConn{Conn: srv, clk: f.clock(), local: raddr, remote: laddr}
+	var clientConn net.Conn = cli
 	if fault.ResetAfter > 0 {
 		clientConn = &resetConn{Conn: clientConn, remaining: fault.ResetAfter, raddr: raddr}
 	}
 	select {
-	case l.ch <- serverConn:
+	case l.ch <- srv:
 		return clientConn, nil
 	case <-l.done:
 		_ = cli.Close()
@@ -276,6 +279,16 @@ func (f *Fabric) dialTCP(ctx context.Context, srcIP, address string) (net.Conn, 
 		_ = srv.Close()
 		return nil, ctx.Err()
 	}
+}
+
+// pipe returns the two linked ends of a fresh net.Pipe: the dialer's end
+// (local laddr) and the listener's end (local raddr).
+func (f *Fabric) pipe(laddr, raddr Addr) (cli, srv *fabricConn) {
+	pc, ps := net.Pipe()
+	link := &pipeLink{ends: [2]net.Conn{pc, ps}}
+	cli = &fabricConn{Conn: pc, link: link, clk: f.clock(), local: laddr, remote: raddr}
+	srv = &fabricConn{Conn: ps, link: link, clk: f.clock(), local: raddr, remote: laddr}
+	return cli, srv
 }
 
 // resetConn simulates a peer reset: after the dialer has read its byte
@@ -402,7 +415,7 @@ func (f *Fabric) listenPacket(network, address string) (net.PacketConn, error) {
 
 // deliver routes a datagram to its destination endpoint, if any. Datagrams
 // to absent endpoints or overflowing inboxes are dropped, as on a real
-// network.
+// network; overflow drops are counted in netsim.udp.drops.
 func (f *Fabric) deliver(d datagram) {
 	if f.DropUDP != nil && f.DropUDP(d.from, d.to) {
 		return
@@ -430,6 +443,7 @@ func (f *Fabric) deliver(d datagram) {
 	case pc.ch <- d:
 	case <-pc.done:
 	default: // inbox full: drop
+		f.Metrics.Counter("netsim.udp.drops").Inc()
 	}
 }
 
@@ -439,18 +453,43 @@ func (f *Fabric) deliver(d datagram) {
 // translation is the identity.
 type fabricConn struct {
 	net.Conn
+	link          *pipeLink
 	clk           clock.Clock
 	local, remote Addr
+}
+
+// pipeLink ties the two ends of one net.Pipe together. An armed net.Pipe
+// deadline is a wall-clock timer whose callback references its pipe end,
+// so a closed end stays reachable until the timer fires. Once either end
+// is closed, net.Pipe refuses SetDeadline on both, so the end that closes
+// first must disarm both. mu makes that disarm-and-close atomic with
+// respect to deadline changes on either end, so no timer is armed after
+// the disarm.
+type pipeLink struct {
+	mu   sync.Mutex
+	ends [2]net.Conn
 }
 
 func (c *fabricConn) LocalAddr() net.Addr  { return c.local }
 func (c *fabricConn) RemoteAddr() net.Addr { return c.remote }
 
+// Close implements net.Conn. It stops both ends' deadline timers before
+// closing, so neither end outlives the connection.
+func (c *fabricConn) Close() error {
+	c.link.mu.Lock()
+	defer c.link.mu.Unlock()
+	for _, end := range c.link.ends {
+		_ = end.SetDeadline(time.Time{}) // refused once closed: nothing armed
+	}
+	return c.Conn.Close()
+}
+
 // toWall converts a deadline expressed on the fabric clock to the wall
 // clock net.Pipe compares against. The remaining budget (t minus virtual
 // now) is preserved; a virtual clock that later jumps forward cannot
 // retroactively shorten it, which is acceptable for the simulator's
-// politeness bounds.
+// politeness bounds. net.Pipe arms a wall-clock timer for it, which Close
+// stops.
 func (c *fabricConn) toWall(t time.Time) time.Time {
 	if t.IsZero() {
 		return t
@@ -460,13 +499,23 @@ func (c *fabricConn) toWall(t time.Time) time.Time {
 }
 
 // SetDeadline implements net.Conn on the fabric clock's timeline.
-func (c *fabricConn) SetDeadline(t time.Time) error { return c.Conn.SetDeadline(c.toWall(t)) }
+func (c *fabricConn) SetDeadline(t time.Time) error {
+	c.link.mu.Lock()
+	defer c.link.mu.Unlock()
+	return c.Conn.SetDeadline(c.toWall(t))
+}
 
 // SetReadDeadline implements net.Conn on the fabric clock's timeline.
-func (c *fabricConn) SetReadDeadline(t time.Time) error { return c.Conn.SetReadDeadline(c.toWall(t)) }
+func (c *fabricConn) SetReadDeadline(t time.Time) error {
+	c.link.mu.Lock()
+	defer c.link.mu.Unlock()
+	return c.Conn.SetReadDeadline(c.toWall(t))
+}
 
 // SetWriteDeadline implements net.Conn on the fabric clock's timeline.
 func (c *fabricConn) SetWriteDeadline(t time.Time) error {
+	c.link.mu.Lock()
+	defer c.link.mu.Unlock()
 	return c.Conn.SetWriteDeadline(c.toWall(t))
 }
 

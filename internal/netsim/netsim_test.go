@@ -5,9 +5,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"spfail/internal/telemetry"
 )
 
 func TestFabricTCPEcho(t *testing.T) {
@@ -300,5 +303,73 @@ func TestRealNetworkLoopback(t *testing.T) {
 	buf := make([]byte, 2)
 	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "hi" {
 		t.Fatalf("read %q, %v", buf, err)
+	}
+}
+
+// Closing a connection must disarm both pipe ends' deadline timers: an
+// armed net.Pipe timer references its end until it fires, so without
+// the disarm every closed connection stays reachable for the rest of
+// its I/O timeout.
+func TestClosedPipeEndsAreCollectable(t *testing.T) {
+	f := NewFabric()
+	l, err := f.Host("192.0.2.10").Listen("tcp", ":25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var collected sync.WaitGroup
+	collected.Add(2)
+	func() {
+		cli, err := f.Host("198.51.100.7").DialContext(context.Background(), "tcp", "192.0.2.10:25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []net.Conn{cli, srv} {
+			if err := c.SetDeadline(time.Now().Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(c.(*fabricConn).Conn, func(any) { collected.Done() })
+		}
+		cli.Close()
+		srv.Close()
+	}()
+	done := make(chan struct{})
+	go func() {
+		collected.Wait()
+		close(done)
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-done:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("closed pipe ends still reachable: deadline timers left armed")
+		}
+	}
+}
+
+// A full inbox drops the datagram and counts it in netsim.udp.drops.
+func TestFabricUDPFullInboxDropsAreCounted(t *testing.T) {
+	f := NewFabric()
+	f.Metrics = telemetry.New()
+	srv, _ := f.Host("10.2.2.2").ListenPacket("udp", ":53")
+	defer srv.Close()
+	cli, _ := f.Host("10.2.2.3").ListenPacket("udp", ":0")
+	defer cli.Close()
+	to := Addr{Net: "udp", Host: "10.2.2.2", Port: 53}
+	const inbox, extra = 64, 5
+	for i := 0; i < inbox+extra; i++ {
+		cli.WriteTo([]byte("x"), to)
+	}
+	if got := f.Metrics.Counter("netsim.udp.drops").Value(); got != extra {
+		t.Fatalf("netsim.udp.drops = %d, want %d", got, extra)
 	}
 }

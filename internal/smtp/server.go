@@ -84,6 +84,9 @@ type Server struct {
 	l   net.Listener
 	wg  sync.WaitGroup
 	run bool
+	// unwatch deregisters the Stop hook Start put on its context, so a
+	// stopped server is not kept reachable until that context ends.
+	unwatch func() bool
 }
 
 func (s *Server) maxMsg() int {
@@ -114,16 +117,13 @@ func (s *Server) Start(ctx context.Context) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.l = l
 	s.run = true
-	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(l)
 	if ctx != nil {
-		go func() {
-			<-ctx.Done()
-			s.Stop()
-		}()
+		s.unwatch = context.AfterFunc(ctx, s.Stop)
 	}
 	return nil
 }
@@ -136,8 +136,12 @@ func (s *Server) Stop() {
 		return
 	}
 	s.run = false
-	l := s.l
+	l, unwatch := s.l, s.unwatch
+	s.unwatch = nil
 	s.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
 	_ = l.Close()
 	s.wg.Wait()
 }

@@ -2,10 +2,13 @@ package smtp
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"spfail/internal/netsim"
 )
@@ -376,5 +379,34 @@ func TestReplyPredicates(t *testing.T) {
 	}
 	if !ReplyNoSuchUser.Permanent() || ReplyNoSuchUser.Transient() {
 		t.Error("550 classification")
+	}
+}
+
+// A stopped server must hold nothing on the context it was started
+// under: hosts come and go many times within one long-lived study
+// context.
+func TestStopReleasesServerUnderLiveContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fabric := netsim.NewFabric()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		srv := &Server{
+			Hostname: "mx.example.com",
+			Net:      fabric.Host(fmt.Sprintf("192.0.2.%d", i)),
+			Addr:     ":25",
+			Handler:  NopHandler{},
+		}
+		if err := srv.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		srv.Stop()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Stop, want <= %d (baseline)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -2,6 +2,7 @@ package study
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -371,5 +372,28 @@ func TestStatusOfRoundTripThroughStudyTypes(t *testing.T) {
 		Observation: core.Observation{Patterns: []string{"x"}, Classes: []core.BehaviorClass{core.ClassVulnerable}}}
 	if measure.StatusOf(o) != measure.IPVulnerable {
 		t.Error("status mapping")
+	}
+}
+
+// A finished study must leave no goroutine behind: neither its hosts nor
+// its DNS server may be held by the caller's context once Run returns.
+func TestRunReturnsGoroutinesToBaseline(t *testing.T) {
+	spec := population.DefaultSpec()
+	spec.Scale = 0.002
+	spec.Seed = 5
+	base := runtime.NumGoroutine()
+	if _, err := Run(context.Background(), Config{
+		Config:   measure.Config{Concurrency: 16},
+		Spec:     spec,
+		Interval: 8 * 24 * time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Run, want <= %d (baseline)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
