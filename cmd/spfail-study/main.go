@@ -54,7 +54,7 @@ func main() {
 		resume      = flag.Bool("resume", false, "resume an interrupted run from the -checkpoint store (same flags required)")
 		killAfter   = flag.String("kill-after", "", "testing: SIGKILL this process right after the named segment commits, e.g. round-002 (requires -checkpoint)")
 		csvDir      = flag.String("csv", "", "directory to write figure data as CSV (optional)")
-		memBudget   = flag.String("mem-budget", "", "soft RSS budget, e.g. 512MiB: above it the run degrades (smaller batches, forced GC) and heap profiles land in the -checkpoint dir")
+		memBudget   = flag.String("mem-budget", "", "soft RSS budget, e.g. 512MiB: the Go runtime memory limit for the run; polls above it write heap profiles into the -checkpoint dir")
 		memHard     = flag.String("mem-budget-hard", "", "hard RSS limit, e.g. 2GiB: above it the run stops with an error instead of an OOM kill")
 		verbose     = flag.Bool("v", true, "print progress to stderr")
 		metricsOut  = flag.String("metrics-out", "", "write the JSON telemetry snapshot to this file (implies -metrics)")

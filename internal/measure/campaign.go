@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spfail/internal/clock"
@@ -29,14 +28,6 @@ type Campaign struct {
 
 	cfg      Config
 	breakers *retry.Breakers
-
-	// dynBatch is the live batch size. It starts at cfg.BatchSize and can
-	// be lowered mid-run by SetBatchSize (the memory-budget watchdog's
-	// degradation hook); batch partitioning is a wall-time concern only —
-	// probe indices, labels, and per-probe virtual frames are all
-	// independent of it — so changing it never perturbs report or trace
-	// bytes.
-	dynBatch atomic.Int64
 
 	// stats accumulates per-shard and allocation accounting for the
 	// resource side table; see Resources.
@@ -64,7 +55,6 @@ func NewCampaign(rig *Rig, cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	c := &Campaign{Rig: rig, cfg: norm}
-	c.dynBatch.Store(int64(norm.BatchSize))
 	if norm.Breaker.Enabled() {
 		c.breakers = retry.NewBreakers(norm.Breaker)
 	}
@@ -89,23 +79,11 @@ func (c *Campaign) suite() string { return c.cfg.Suite }
 
 func (c *Campaign) concurrency() int { return c.cfg.Concurrency }
 
-func (c *Campaign) batchSize() int { return int(c.dynBatch.Load()) }
-
-// BatchSize returns the live batch size, which SetBatchSize may have
-// lowered below the configured one.
-func (c *Campaign) BatchSize() int { return c.batchSize() }
-
-// SetBatchSize changes the batch size used by subsequent batch waves,
-// clamped to at least 1. It is safe to call concurrently with a running
-// measurement — the new size takes effect at the next wave boundary.
-// Batch size only shapes wall-time execution (how many hosts are resident
-// at once); it cannot alter probe outcomes, report bytes, or trace bytes.
-func (c *Campaign) SetBatchSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.dynBatch.Store(int64(n))
-}
+// BatchSize returns the configured batch size: how many addresses one
+// wave makes resident at once. Batch partitioning is a wall-time concern
+// only — probe indices, labels, and per-probe virtual frames are all
+// independent of it — so it never perturbs report or trace bytes.
+func (c *Campaign) BatchSize() int { return c.cfg.BatchSize }
 
 // labelSeed derives the label-stream seed, mixing the suite in so the
 // study's s01 and s02 campaigns draw from disjoint-looking streams.
@@ -183,7 +161,7 @@ func (c *Campaign) MeasureAddrsFunc(ctx context.Context, addrs []netip.Addr, rcp
 	// behaviour must not (determinism).
 	asOf := c.Rig.Clock.Now()
 	for start := 0; start < len(addrs); {
-		end := start + c.batchSize()
+		end := start + c.BatchSize()
 		if end > len(addrs) {
 			end = len(addrs)
 		}

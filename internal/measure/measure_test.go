@@ -226,27 +226,6 @@ func TestCampaignOnSimClock(t *testing.T) {
 	}
 }
 
-func TestCampaignSetBatchSize(t *testing.T) {
-	sim := clock.NewSim(population.TInitial)
-	defer sim.Close()
-	rig := newTestRig(t, sim)
-	c, err := NewCampaign(rig, Config{Suite: "t02", BatchSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.BatchSize(); got != 100 {
-		t.Fatalf("BatchSize() = %d, want 100", got)
-	}
-	c.SetBatchSize(50)
-	if got := c.BatchSize(); got != 50 {
-		t.Errorf("after SetBatchSize(50): %d", got)
-	}
-	c.SetBatchSize(0) // clamps to 1, never stalls the wave loop
-	if got := c.BatchSize(); got != 1 {
-		t.Errorf("after SetBatchSize(0): %d, want clamp to 1", got)
-	}
-}
-
 func TestInferSeriesRules(t *testing.T) {
 	v, s, i := IPVulnerable, IPSafe, IPInconclusive
 	cases := []struct {

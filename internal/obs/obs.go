@@ -12,10 +12,10 @@
 //   - StageProbe captures before/after deltas (allocations, heap growth,
 //     GC cycles, wall and virtual time, peak RSS) around a study stage,
 //     producing the StageResources rows of the report's resource table.
-//   - Watchdog enforces a Budget{SoftRSS, HardRSS}: a soft breach triggers
-//     graceful degradation (the caller's hook, typically halving the
-//     campaign batch size), a forced GC, and an automatic heap profile; a
-//     hard breach fails the run with a structured error instead of an OOM
+//   - Watchdog enforces a Budget{SoftRSS, HardRSS}: the soft limit is the
+//     Go runtime's memory limit while the run lasts, and polls above it
+//     count breaches and capture a heap profile; a hard breach cancels the
+//     run with a *BudgetError as the cause instead of waiting for an OOM
 //     kill.
 //
 // Resource numbers are a side channel by construction: nothing in this

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -135,24 +138,20 @@ func TestAllocSamplerDelta(t *testing.T) {
 func TestWatchdogSoftBreach(t *testing.T) {
 	reg := telemetry.New()
 	dir := t.TempDir()
-	w := NewWatchdog(Budget{SoftRSS: 1, ProfileDir: dir, MaxProfiles: 2}, reg, clock.Real{})
-	var degraded []int64
-	w.OnSoftBreach(func(rss int64) { degraded = append(degraded, rss) })
+	w := NewWatchdog(Budget{SoftRSS: 1, ProfileDir: dir}, reg, nil)
 
-	w.Poll()
-	w.Poll()
-	w.Poll()
+	for range maxProfiles + 1 {
+		w.poll()
+	}
 
-	if got := reg.Counter("budget.soft_breaches").Value(); got != 3 {
-		t.Errorf("budget.soft_breaches = %d, want 3", got)
+	if got := reg.Counter("budget.soft_breaches").Value(); got != maxProfiles+1 {
+		t.Errorf("budget.soft_breaches = %d, want %d", got, maxProfiles+1)
 	}
-	if len(degraded) != 3 || degraded[0] <= 1 {
-		t.Errorf("degrade hook calls = %v, want 3 calls with rss > 1", degraded)
+	if got := reg.Counter("budget.profiles_captured").Value(); got != maxProfiles {
+		t.Errorf("budget.profiles_captured = %d, want %d (capped)", got, maxProfiles)
 	}
-	if got := reg.Counter("budget.profiles_captured").Value(); got != 2 {
-		t.Errorf("budget.profiles_captured = %d, want 2 (capped)", got)
-	}
-	for _, name := range []string{"heap-001.pprof", "heap-002.pprof"} {
+	for i := 1; i <= maxProfiles; i++ {
+		name := fmt.Sprintf("heap-%03d.pprof", i)
 		st, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Errorf("profile %s: %v", name, err)
@@ -160,58 +159,80 @@ func TestWatchdogSoftBreach(t *testing.T) {
 			t.Errorf("profile %s is empty", name)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "heap-003.pprof")); !os.IsNotExist(err) {
-		t.Error("profile capture exceeded MaxProfiles")
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("heap-%03d.pprof", maxProfiles+1))); !os.IsNotExist(err) {
+		t.Error("profile capture exceeded maxProfiles")
 	}
 }
 
 func TestWatchdogHardBreach(t *testing.T) {
 	reg := telemetry.New()
-	w := NewWatchdog(Budget{SoftRSS: 1, HardRSS: 2}, reg, clock.Real{})
-	var hardErr error
-	softs := 0
-	w.OnSoftBreach(func(int64) { softs++ })
-	w.OnHardBreach(func(err error) { hardErr = err })
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	w := NewWatchdog(Budget{SoftRSS: 1, HardRSS: 2}, reg, cancel)
 
-	w.Poll()
-	w.Poll() // hard hook fires once
+	w.poll()
+	w.poll() // the hard breach latches
 
-	if hardErr == nil {
-		t.Fatal("hard hook not called")
+	cause := context.Cause(ctx)
+	if cause == nil {
+		t.Fatal("hard breach did not cancel the run context")
 	}
-	if !errors.Is(hardErr, ErrBudgetExceeded) {
-		t.Errorf("hard error %v does not wrap ErrBudgetExceeded", hardErr)
+	if !errors.Is(cause, ErrBudgetExceeded) {
+		t.Errorf("cancel cause %v does not wrap ErrBudgetExceeded", cause)
 	}
 	var be *BudgetError
-	if !errors.As(hardErr, &be) || be.Limit != 2 || be.RSS <= 2 {
-		t.Errorf("hard error = %#v, want BudgetError{RSS>2, Limit:2}", hardErr)
+	if !errors.As(cause, &be) || be.Limit != 2 || be.RSS <= 2 {
+		t.Errorf("cancel cause = %#v, want BudgetError{RSS>2, Limit:2}", cause)
 	}
 	if got := reg.Counter("budget.hard_breaches").Value(); got != 1 {
 		t.Errorf("budget.hard_breaches = %d, want 1 (latched)", got)
 	}
-	if softs != 0 {
-		t.Errorf("soft hook ran %d times above the hard limit, want 0", softs)
+	if got := reg.Counter("budget.soft_breaches").Value(); got != 0 {
+		t.Errorf("budget.soft_breaches = %d above the hard limit, want 0", got)
 	}
 }
 
 func TestWatchdogStartStopLoop(t *testing.T) {
 	reg := telemetry.New()
-	w := NewWatchdog(Budget{SoftRSS: 1, Interval: time.Millisecond, MaxProfiles: -1}, reg, clock.Real{})
+	w := NewWatchdog(Budget{SoftRSS: 1}, reg, nil)
 	w.Start()
-	deadline := clock.Real{}.Now().Add(5 * time.Second)
-	for reg.Counter("budget.soft_breaches").Value() == 0 {
-		if (clock.Real{}).Now().After(deadline) {
-			t.Fatal("watchdog loop never breached a 1-byte soft budget")
-		}
-		runtime.Gosched()
+	w.Stop()
+	w.Stop()
+	// Start polls once before its first sleep, so even a watchdog stopped
+	// at once has checked its budget.
+	if got := reg.Counter("budget.soft_breaches").Value(); got == 0 {
+		t.Error("watchdog loop never breached a 1-byte soft budget")
+	}
+	// Disabled budgets must not spin a goroutine.
+	idle := NewWatchdog(Budget{}, reg, nil)
+	idle.Start()
+	if idle.stop != nil {
+		t.Error("disabled watchdog started a loop")
+	}
+}
+
+func TestWatchdogRestoresMemoryLimit(t *testing.T) {
+	const soft = 1 << 40
+	before := debug.SetMemoryLimit(-1)
+
+	w := NewWatchdog(Budget{SoftRSS: soft}, telemetry.New(), nil)
+	w.Start()
+	if got := debug.SetMemoryLimit(-1); got != soft {
+		t.Errorf("memory limit while running = %d, want SoftRSS %d", got, int64(soft))
 	}
 	w.Stop()
-	w.Stop()
-	// Disabled budgets must not spin a goroutine.
-	idle := NewWatchdog(Budget{}, reg, clock.Real{})
-	idle.Start()
-	if idle.cancel != nil {
-		t.Error("disabled watchdog started a loop")
+	if got := debug.SetMemoryLimit(-1); got != before {
+		t.Errorf("memory limit after Stop = %d, want the earlier %d", got, before)
+	}
+
+	// Neither a disabled nor a hard-only budget touches the limit.
+	for _, b := range []Budget{{}, {HardRSS: 1 << 50}} {
+		w := NewWatchdog(b, telemetry.New(), nil)
+		w.Start()
+		if got := debug.SetMemoryLimit(-1); got != before {
+			t.Errorf("budget %+v: memory limit = %d, want it untouched at %d", b, got, before)
+		}
+		w.Stop()
 	}
 }
 
@@ -244,6 +265,9 @@ func TestParseBytes(t *testing.T) {
 		{"-5", 0, false},
 		{"MiB", 0, false},
 		{"12q", 0, false},
+		{"inf", 0, false},
+		{"nan", 0, false},
+		{"1e30GiB", 0, false},
 	}
 	for _, tc := range cases {
 		got, err := ParseBytes(tc.in)

@@ -13,12 +13,11 @@ import (
 	"spfail/internal/trace"
 )
 
-// TestBatchGeometryDeterminism pins the invariant the memory-budget
-// watchdog depends on: batch size is a wall-time concern only. Probe
-// pacing runs on per-probe frame clocks anchored at the pass's asOf, so
-// repartitioning the address list — which is exactly what a soft-budget
-// breach does mid-run via Campaign.SetBatchSize — must not move a single
-// byte of the report or the trace JSONL.
+// TestBatchGeometryDeterminism pins the invariant that batch size is a
+// wall-time concern only. Probe pacing runs on per-probe frame clocks
+// anchored at the pass's asOf, so repartitioning the address list — how
+// many hosts one wave makes resident, which -batch trades against memory
+// — must not move a single byte of the report or the trace JSONL.
 func TestBatchGeometryDeterminism(t *testing.T) {
 	render := func(batch, concurrency int) ([]byte, []byte) {
 		t.Helper()
@@ -48,7 +47,7 @@ func TestBatchGeometryDeterminism(t *testing.T) {
 		batch, concurrency int
 	}{
 		{"quartered-batch", 100, 64},
-		{"degraded-batch-low-concurrency", 25, 8},
+		{"small-batch-low-concurrency", 25, 8},
 	} {
 		gotReport, gotTrace := render(alt.batch, alt.concurrency)
 		if !bytes.Equal(refReport, gotReport) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -42,17 +43,16 @@ func budgetRun(t *testing.T, budget obs.Budget) (*study.Results, []byte, []byte)
 	return res, rep.Bytes(), traceBuf.Bytes()
 }
 
-// TestBudgetSoftDegradationDeterminism is the PR's headline acceptance
-// check: a run whose soft budget is breached immediately — so the
-// watchdog is halving the batch size, draining pools, forcing GCs, and
-// capturing heap profiles throughout — must produce a report and trace
-// byte-identical to the same-seed unbudgeted run.
+// TestBudgetSoftDegradationDeterminism checks that a run whose soft
+// budget is breached immediately — so the runtime memory limit keeps the
+// GC running back to back and the watchdog captures heap profiles —
+// produces a report and trace byte-identical to the same-seed
+// unbudgeted run.
 func TestBudgetSoftDegradationDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	refRes, refReport, refTrace := budgetRun(t, obs.Budget{})
 	gotRes, gotReport, gotTrace := budgetRun(t, obs.Budget{
 		SoftRSS:    1, // every poll breaches
-		Interval:   5 * time.Millisecond,
 		ProfileDir: dir,
 	})
 
@@ -63,7 +63,7 @@ func TestBudgetSoftDegradationDeterminism(t *testing.T) {
 		t.Error("trace bytes differ between budgeted and unbudgeted runs")
 	}
 	if got := gotRes.Metrics.Counter("budget.soft_breaches").Value(); got == 0 {
-		t.Error("soft budget never breached — degradation was not exercised")
+		t.Error("soft budget never breached")
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -83,8 +83,9 @@ func TestBudgetSoftDegradationDeterminism(t *testing.T) {
 	}
 }
 
-// TestBudgetHardBreachFailsRun checks that a hard breach stops the run
-// with a structured error instead of an OOM kill.
+// TestBudgetHardBreachFailsRun checks that a hard breach cancels the run
+// and Run returns the cancel cause, a structured error instead of an OOM
+// kill.
 func TestBudgetHardBreachFailsRun(t *testing.T) {
 	spec := population.DefaultSpec()
 	spec.Scale = 0.003
@@ -93,10 +94,7 @@ func TestBudgetHardBreachFailsRun(t *testing.T) {
 		Config:   measure.Config{Concurrency: 32, BatchSize: 200},
 		Spec:     spec,
 		Interval: 4 * 24 * time.Hour,
-		Budget: obs.Budget{
-			HardRSS:  1, // any live process exceeds this
-			Interval: time.Millisecond,
-		},
+		Budget:   obs.Budget{HardRSS: 1}, // any live process exceeds this
 	})
 	if !errors.Is(err, obs.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want wrap of obs.ErrBudgetExceeded", err)
@@ -107,6 +105,37 @@ func TestBudgetHardBreachFailsRun(t *testing.T) {
 	}
 	if got := res.Metrics.Counter("budget.hard_breaches").Value(); got != 1 {
 		t.Errorf("budget.hard_breaches = %d, want 1", got)
+	}
+}
+
+// TestGoroutinePeakBoundedByWorkingSet checks that a study's goroutines
+// follow its working set — the simulated hosts of one batch wave plus the
+// probe workers — and not its round count: a stopped host must not leave
+// a goroutine behind that keeps it reachable until the run ends.
+func TestGoroutinePeakBoundedByWorkingSet(t *testing.T) {
+	const bound = 3*200 + 4*32 // 3·BatchSize + 4·Concurrency of budgetRun
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		high := 0
+		for {
+			high = max(high, runtime.NumGoroutine())
+			select {
+			case <-stop:
+				peak <- high
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	res, _, _ := budgetRun(t, obs.Budget{})
+	close(stop)
+	got := <-peak
+	t.Logf("goroutine peak %d over %d rounds (bound %d)", got, len(res.Rounds), bound)
+	if got > bound {
+		t.Errorf("goroutine peak = %d over %d rounds, want ≤ %d", got, len(res.Rounds), bound)
 	}
 }
 
@@ -169,7 +198,7 @@ func TestBudgetResumeAcrossBudgetChange(t *testing.T) {
 		Spec:          spec,
 		Interval:      4 * 24 * time.Hour,
 		CheckpointDir: ckpt,
-		Budget:        obs.Budget{SoftRSS: 1, Interval: 5 * time.Millisecond, ProfileDir: dir},
+		Budget:        obs.Budget{SoftRSS: 1, ProfileDir: dir},
 		Kill: func(point string) bool {
 			return point == "commit:initial"
 		},

@@ -26,7 +26,7 @@ type runner struct {
 	tracker   *Tracker
 	trackerIP string
 	progress  func(string)
-	cancel    context.CancelFunc
+	cancel    context.CancelCauseFunc
 	// coll sharpens per-stage peak-RSS attribution with the collector's
 	// polled high-water mark.
 	coll *obs.Collector
@@ -38,8 +38,8 @@ type runner struct {
 	// capture tees the tracer's output between stage cuts; nil when
 	// checkpointing or tracing is off.
 	capture *captureBuffer
-	// killed latches once the injected Kill hook fires; Run reports
-	// ErrKilled in place of whatever error the unwinding produced.
+	// killed latches once the injected Kill hook fires and has cancelled
+	// the run context with ErrKilled as its cause.
 	killed bool
 }
 
@@ -155,8 +155,8 @@ func (r *runner) progressf(format string, args ...any) {
 }
 
 // kill consults the injected crash hook at a named point. The first fire
-// latches and cancels the run context so in-flight campaign work
-// unwinds; Run maps whatever error surfaces to ErrKilled.
+// latches and cancels the run context with ErrKilled, so in-flight
+// campaign work unwinds and Run reports ErrKilled as the cause.
 func (r *runner) kill(point string) bool {
 	if r.killed {
 		return true
@@ -165,7 +165,7 @@ func (r *runner) kill(point string) bool {
 		return false
 	}
 	r.killed = true
-	r.cancel()
+	r.cancel(ErrKilled)
 	return true
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"spfail/internal/checkpoint"
@@ -66,14 +65,13 @@ type Config struct {
 	// store's fingerprint enforces that.
 	Resume bool
 	// Budget, when enabled, puts the run under a resident-memory envelope
-	// enforced by an obs.Watchdog: a soft breach halves the campaign batch
-	// size (floor 16), drains pools, forces a GC, and captures a heap
-	// profile (to Budget.ProfileDir, defaulting to CheckpointDir); a hard
-	// breach stops the run with an error wrapping obs.ErrBudgetExceeded.
-	// Batch geometry is a wall-time-only concern — probe pacing runs on
-	// per-probe frame clocks — so degradation never moves a report or
-	// trace byte, and Budget is deliberately outside the checkpoint
-	// fingerprint: budgeted and unbudgeted runs are mutually resumable.
+	// enforced by an obs.Watchdog: SoftRSS is the Go runtime memory limit
+	// for the run's duration, and polls above it capture heap profiles (to
+	// Budget.ProfileDir, defaulting to CheckpointDir); a hard breach
+	// cancels the run, which returns the *obs.BudgetError. The GC never
+	// moves a report or trace byte, so Budget is deliberately outside the
+	// checkpoint fingerprint: budgeted and unbudgeted runs are mutually
+	// resumable.
 	Budget obs.Budget
 
 	// Kill, if non-nil, is the crash-injection test hook: it is
@@ -273,8 +271,11 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		return nil, err
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// The run context is cancelled with a cause by the two things that
+	// stop a run early: the injected Kill hook (ErrKilled) and the budget
+	// watchdog's hard stop (*obs.BudgetError).
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	r := &runner{
 		cfg:       norm,
 		res:       res,
@@ -289,28 +290,12 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 		coll:      coll,
 	}
 
-	// The budget watchdog degrades the campaign from its own wall-clock
-	// goroutine. Halving the batch only repartitions the address list —
-	// probe pacing runs on per-probe frames — so this is byte-safe by
-	// construction (TestBatchGeometryDeterminism pins it).
-	var budget budgetState
 	if norm.Budget.Enabled() {
 		b := norm.Budget
 		if b.ProfileDir == "" {
 			b.ProfileDir = norm.CheckpointDir
 		}
-		wd := obs.NewWatchdog(b, norm.Metrics, clock.Real{})
-		wd.OnSoftBreach(func(int64) {
-			n := campaign.BatchSize() / 2
-			if n < minDegradedBatch {
-				n = minDegradedBatch
-			}
-			campaign.SetBatchSize(n)
-		})
-		wd.OnHardBreach(func(err error) {
-			budget.fail(err)
-			cancel()
-		})
+		wd := obs.NewWatchdog(b, norm.Metrics, cancel)
 		wd.Start()
 		defer wd.Stop()
 	}
@@ -330,44 +315,15 @@ func Run(ctx context.Context, cfg Config) (*Results, error) {
 	select {
 	case err := <-done:
 		res.CampaignResources = r.campaign.Resources()
-		if r.killed {
-			return res, ErrKilled
-		}
-		if berr := budget.err(); berr != nil {
-			// The hard breach cancelled the run context; the unwind error
-			// is just the cancellation echo — report the cause.
-			return res, fmt.Errorf("study: %w", berr)
+		if cause := context.Cause(runCtx); cause != nil {
+			// The unwind error is just the cancellation echo — report the
+			// cause.
+			return res, cause
 		}
 		return res, err
 	case <-ctx.Done():
 		return res, ctx.Err()
 	}
-}
-
-// minDegradedBatch is the floor soft-breach degradation will not halve
-// the campaign batch below: smaller waves stop helping RSS and only
-// multiply scheduling overhead.
-const minDegradedBatch = 16
-
-// budgetState carries the hard-breach error from the watchdog goroutine
-// to Run's result without racing the run unwind.
-type budgetState struct {
-	mu sync.Mutex
-	e  error // guarded by mu
-}
-
-func (b *budgetState) fail(err error) {
-	b.mu.Lock()
-	if b.e == nil {
-		b.e = err
-	}
-	b.mu.Unlock()
-}
-
-func (b *budgetState) err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.e
 }
 
 // run is the study driver; it executes on a clock-accounted goroutine.
