@@ -3,6 +3,7 @@ package measure
 import (
 	"context"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,6 +82,41 @@ func TestResolveTargetsMatchesWorld(t *testing.T) {
 		}
 		if tgt.HasMX != d.HasMX {
 			t.Errorf("%s: HasMX = %v, world %v", tgt.Domain, tgt.HasMX, d.HasMX)
+		}
+	}
+}
+
+// The rig's DNS server answers a burst of concurrent lookups, wider than
+// any fixed inbox, without one retransmit: every query reaches the server
+// on its first send, as at the paper's concurrency of 250.
+func TestRigDNSAnswersConcurrentBurst(t *testing.T) {
+	sim := clock.NewSim(population.TInitial)
+	defer sim.Close()
+	rig := newTestRig(t, sim)
+	res := rig.Resolver()
+	const burst = 256
+	errs := make([]error, burst)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			name := rig.World.Domains[i%len(rig.World.Domains)].Name
+			_, errs[i] = res.LookupTXT(context.Background(), name)
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("lookup %d: %v", i, err)
+		}
+	}
+	for _, name := range []string{"dns.client.retries", "dns.client.failures"} {
+		if got := rig.Metrics.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
 		}
 	}
 }

@@ -117,7 +117,6 @@ func NewRigFromOptions(ctx context.Context, opts RigOptions) (*Rig, error) {
 	w, clk := opts.World, opts.Clock
 	fabric := netsim.NewFabric()
 	fabric.Clock = clk
-	fabric.Metrics = metrics
 	var engine *faults.Engine
 	if opts.Faults != nil && !opts.Faults.Empty() {
 		var err error

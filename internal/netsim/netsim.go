@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"spfail/internal/clock"
-	"spfail/internal/telemetry"
 )
 
 // Network abstracts dialing and listening so protocol code can run on the
@@ -124,13 +123,13 @@ func (a Addr) Network() string { return a.Net }
 // String implements net.Addr.
 func (a Addr) String() string { return net.JoinHostPort(a.Host, strconv.Itoa(a.Port)) }
 
-// Fabric is an in-memory Internet: a switchboard of stream listeners and
-// datagram endpoints keyed by "ip:port". The zero value is not usable; call
-// NewFabric.
+// Fabric is an in-memory Internet: a switchboard of stream listeners keyed
+// by "ip:port" and datagram endpoints keyed by their Addr. The zero value
+// is not usable; call NewFabric.
 type Fabric struct {
 	mu        sync.Mutex
 	listeners map[string]*fabricListener
-	packet    map[string]*fabricPacketConn
+	packet    map[Addr]*fabricPacketConn
 	nextPort  int
 
 	// DropUDP, when non-nil, is consulted for every datagram; returning
@@ -148,10 +147,6 @@ type Fabric struct {
 	// as clk.Now().Add(timeout) mean the same thing on both sides. Nil
 	// means the real clock. Set before handing out connections.
 	Clock clock.Clock
-
-	// Metrics, when non-nil, counts datagrams dropped at a full inbox
-	// (see docs/telemetry.md). Set before handing out connections.
-	Metrics *telemetry.Registry
 }
 
 func (f *Fabric) clock() clock.Clock {
@@ -165,7 +160,7 @@ func (f *Fabric) clock() clock.Clock {
 func NewFabric() *Fabric {
 	return &Fabric{
 		listeners: make(map[string]*fabricListener),
-		packet:    make(map[string]*fabricPacketConn),
+		packet:    make(map[Addr]*fabricPacketConn),
 		nextPort:  40000,
 	}
 }
@@ -352,11 +347,11 @@ func (f *Fabric) dialUDP(srcIP, address string) (net.Conn, error) {
 	f.mu.Lock()
 	laddr := Addr{Net: "udp", Host: srcIP, Port: f.allocPortLocked()}
 	f.mu.Unlock()
-	pc, err := f.listenPacket("udp", laddr.String())
+	pc, err := f.bindPacket(laddr)
 	if err != nil {
 		return nil, err
 	}
-	return &connectedPacketConn{pc: pc.(*fabricPacketConn), remote: raddr}, nil
+	return &connectedPacketConn{pc: pc, remote: raddr}, nil
 }
 
 func (f *Fabric) listen(network, address string) (net.Listener, error) {
@@ -394,28 +389,35 @@ func (f *Fabric) listenPacket(network, address string) (net.PacketConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return f.bindPacket(addr)
+}
+
+// bindPacket opens a datagram endpoint at addr (Net "udp"); port 0 picks
+// an ephemeral port.
+func (f *Fabric) bindPacket(addr Addr) (*fabricPacketConn, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if addr.Port == 0 {
 		addr.Port = f.allocPortLocked()
 	}
-	key := addr.String()
-	if _, ok := f.packet[key]; ok {
+	if _, ok := f.packet[addr]; ok {
 		return nil, &net.OpError{Op: "listen", Net: "udp", Addr: addr, Err: ErrAddrInUse}
 	}
 	pc := &fabricPacketConn{
-		f:    f,
-		addr: addr,
-		ch:   make(chan datagram, 64),
-		done: make(chan struct{}),
+		f:     f,
+		addr:  addr,
+		ready: make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
-	f.packet[key] = pc
+	f.packet[addr] = pc
 	return pc, nil
 }
 
-// deliver routes a datagram to its destination endpoint, if any. Datagrams
-// to absent endpoints or overflowing inboxes are dropped, as on a real
-// network; overflow drops are counted in netsim.udp.drops.
+// deliver routes a datagram to its destination endpoint's inbox, which
+// grows as needed: every queued datagram has a sender waiting on its
+// reply, so the number of lookups in flight bounds it. A datagram is
+// dropped only when DropUDP says so, when the fault engine's verdict is
+// VerdictDrop, or when no open endpoint listens at its destination.
 func (f *Fabric) deliver(d datagram) {
 	if f.DropUDP != nil && f.DropUDP(d.from, d.to) {
 		return
@@ -434,16 +436,21 @@ func (f *Fabric) deliver(d datagram) {
 		}
 	}
 	f.mu.Lock()
-	pc := f.packet[d.to.String()]
+	pc := f.packet[d.to]
 	f.mu.Unlock()
 	if pc == nil {
 		return
 	}
+	pc.mu.Lock()
+	if pc.closed {
+		pc.mu.Unlock()
+		return
+	}
+	pc.inbox = append(pc.inbox, d)
+	pc.mu.Unlock()
 	select {
-	case pc.ch <- d:
-	case <-pc.done:
-	default: // inbox full: drop
-		f.Metrics.Counter("netsim.udp.drops").Inc()
+	case pc.ready <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 }
 
@@ -564,12 +571,13 @@ type datagram struct {
 
 // fabricPacketConn implements net.PacketConn on the fabric.
 type fabricPacketConn struct {
-	f    *Fabric
-	addr Addr
-	ch   chan datagram
-	done chan struct{}
+	f     *Fabric
+	addr  Addr
+	ready chan struct{} // signalled after deliver appends to inbox
+	done  chan struct{}
 
 	mu       sync.Mutex
+	inbox    []datagram // guarded by mu
 	closed   bool
 	deadline time.Time
 }
@@ -594,16 +602,25 @@ func (p *fabricPacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 		defer t.Stop()
 		timeout = t.C
 	}
-	p.mu.Unlock()
-	select {
-	case d := <-p.ch:
-		n := copy(b, d.data)
-		return n, d.from, nil
-	case <-p.done:
-		return 0, nil, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
-	case <-timeout:
-		return 0, nil, timeoutError{}
+	// Close empties the inbox and deliver stops filling it, so a closed
+	// socket always reaches the done case.
+	for len(p.inbox) == 0 {
+		p.mu.Unlock()
+		select {
+		case <-p.ready:
+		case <-p.done:
+			return 0, nil, &net.OpError{Op: "read", Net: "udp", Addr: p.addr, Err: ErrClosed}
+		case <-timeout:
+			return 0, nil, timeoutError{}
+		}
+		p.mu.Lock()
 	}
+	d := p.inbox[0]
+	n := copy(p.inbox, p.inbox[1:])
+	p.inbox[n] = datagram{}
+	p.inbox = p.inbox[:n]
+	p.mu.Unlock()
+	return copy(b, d.data), d.from, nil
 }
 
 // WriteTo implements net.PacketConn.
@@ -614,10 +631,14 @@ func (p *fabricPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	if closed {
 		return 0, &net.OpError{Op: "write", Net: "udp", Addr: p.addr, Err: ErrClosed}
 	}
-	to, err := splitAddr("udp", addr.String())
-	if err != nil {
-		return 0, err
+	to, ok := addr.(Addr)
+	if !ok {
+		var err error
+		if to, err = splitAddr("udp", addr.String()); err != nil {
+			return 0, err
+		}
 	}
+	to.Net = "udp"
 	p.f.deliver(datagram{from: p.addr, to: to, data: append([]byte(nil), b...)})
 	return len(b), nil
 }
@@ -630,8 +651,9 @@ func (p *fabricPacketConn) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.inbox = nil
 	p.f.mu.Lock()
-	delete(p.f.packet, p.addr.String())
+	delete(p.f.packet, p.addr)
 	p.f.mu.Unlock()
 	close(p.done)
 	return nil
@@ -668,7 +690,7 @@ func (c *connectedPacketConn) Read(b []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if from.String() == c.remote.String() {
+		if from == c.remote {
 			return n, nil
 		}
 	}

@@ -6,11 +6,10 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
-
-	"spfail/internal/telemetry"
 )
 
 func TestFabricTCPEcho(t *testing.T) {
@@ -356,20 +355,41 @@ func TestClosedPipeEndsAreCollectable(t *testing.T) {
 	}
 }
 
-// A full inbox drops the datagram and counts it in netsim.udp.drops.
-func TestFabricUDPFullInboxDropsAreCounted(t *testing.T) {
+// An inbox holds every datagram delivered before its owner reads: a
+// burst far beyond any fixed queue depth arrives whole and in send order.
+func TestFabricUDPBurstIsDeliveredInOrder(t *testing.T) {
 	f := NewFabric()
-	f.Metrics = telemetry.New()
 	srv, _ := f.Host("10.2.2.2").ListenPacket("udp", ":53")
 	defer srv.Close()
 	cli, _ := f.Host("10.2.2.3").ListenPacket("udp", ":0")
 	defer cli.Close()
 	to := Addr{Net: "udp", Host: "10.2.2.2", Port: 53}
-	const inbox, extra = 64, 5
-	for i := 0; i < inbox+extra; i++ {
-		cli.WriteTo([]byte("x"), to)
+	const burst = 1000
+	for i := 0; i < burst; i++ {
+		if _, err := cli.WriteTo([]byte(strconv.Itoa(i)), to); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := f.Metrics.Counter("netsim.udp.drops").Value(); got != extra {
-		t.Fatalf("netsim.udp.drops = %d, want %d", got, extra)
+	srv.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 8)
+	for i := 0; i < burst; i++ {
+		n, from, err := srv.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if got := string(buf[:n]); got != strconv.Itoa(i) {
+			t.Fatalf("datagram %d carried %q", i, got)
+		}
+		if from != cli.LocalAddr() {
+			t.Fatalf("datagram %d from %v, want %v", i, from, cli.LocalAddr())
+		}
+	}
+
+	// Closing with datagrams still queued discards them: reads report
+	// ErrClosed, never a stale datagram.
+	cli.WriteTo([]byte("late"), to)
+	srv.Close()
+	if _, _, err := srv.ReadFrom(buf); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadFrom after Close = %v, want ErrClosed", err)
 	}
 }

@@ -53,7 +53,8 @@ func (c *Client) ioTimeout() time.Duration {
 // session per transaction, so the 4 KiB bufio buffers are recycled instead
 // of reallocated per dial. Buffers return to the pool on Close/Quit (or a
 // failed Dial); release resets them against nil first so a pooled buffer
-// can never reach a connection it no longer owns.
+// can never reach a connection it no longer owns. Server sessions draw
+// their readers from brPool the same way.
 var (
 	brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 	bwPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}

@@ -173,11 +173,16 @@ const (
 func (s *Server) serveConn(c net.Conn) {
 	defer c.Close()
 	s.Metrics.Counter("smtp.server.sessions").Inc()
+	br := brPool.Get().(*bufio.Reader)
+	br.Reset(c)
+	defer func() {
+		br.Reset(nil)
+		brPool.Put(br)
+	}()
 	sess := &serverSession{
 		srv:    s,
 		conn:   c,
-		br:     bufio.NewReader(c),
-		bw:     bufio.NewWriter(c),
+		br:     br,
 		remote: c.RemoteAddr(),
 		state:  StateGreeting,
 	}
@@ -188,7 +193,6 @@ type serverSession struct {
 	srv    *Server
 	conn   net.Conn
 	br     *bufio.Reader
-	bw     *bufio.Writer
 	remote net.Addr
 
 	state string
@@ -206,10 +210,8 @@ func (ss *serverSession) send(r *Reply) error {
 	if err := ss.conn.SetWriteDeadline(ss.srv.clock().Now().Add(ss.srv.ioTimeout())); err != nil {
 		return err
 	}
-	if _, err := ss.bw.WriteString(r.String() + "\r\n"); err != nil {
-		return err
-	}
-	return ss.bw.Flush()
+	_, err := io.WriteString(ss.conn, r.String()+"\r\n")
+	return err
 }
 
 func (ss *serverSession) readLine() (string, error) {
